@@ -8,9 +8,11 @@
 //! Pass `--short` for the CI smoke run.
 
 use backfi_bench::timing::BenchReport;
+use backfi_chan::medium::{BackscatterMedium, MediumConfig};
 use backfi_core::link::{LinkConfig, LinkSimulator};
 use backfi_dsp::noise::add_noise;
 use backfi_dsp::rng::SplitMix64;
+use backfi_dsp::Complex;
 use backfi_wifi::{Mcs, WifiReceiver, WifiTransmitter};
 use std::hint::black_box;
 
@@ -125,6 +127,29 @@ fn bench_full_link(rep: &mut BenchReport, short: bool) {
     );
 }
 
+/// Channel propagation of one 4 ms excitation (3000 B at 6 Mbit/s) through
+/// a 1 m deployment with the tag modulating: the layer that dominates a
+/// full-budget link trial (TX noise, the environment and backscatter legs,
+/// thermal noise).
+fn bench_chan_propagate(rep: &mut BenchReport) {
+    let mut cfg = LinkConfig::at_distance(1.0);
+    cfg.excitation.mcs = Mcs::Mbps6;
+    cfg.excitation.wifi_payload_bytes = 3000;
+    let medium_cfg = MediumConfig::at_distance(cfg.distance_m);
+    let budget = cfg.budget;
+    let sim = LinkSimulator::new(cfg);
+    let x = &sim.excitation().samples;
+    let mut phase = SplitMix64::new(3);
+    let gamma: Vec<Complex> = (0..x.len())
+        .map(|_| Complex::exp_j(phase.next_f64() * std::f64::consts::TAU))
+        .collect();
+    let mut medium = BackscatterMedium::new(budget, medium_cfg, 1);
+    let n = x.len();
+    rep.measure_calibrated("chan_propagate_4ms", "auto", n, 0, n, || {
+        black_box(medium.propagate(black_box(x), &gamma).len());
+    });
+}
+
 fn bench_sweep_cache_replay(rep: &mut BenchReport, short: bool) {
     use backfi_core::sweep::{cache::ResultCache, grid_cells, run_grid_indexed_cached, Executor};
     use backfi_tag::config::TagConfig;
@@ -185,6 +210,7 @@ fn main() {
     let mut rep = BenchReport::new("pipeline", if short { "short" } else { "full" });
     bench_wifi_tx(&mut rep, short);
     bench_wifi_rx(&mut rep, short);
+    bench_chan_propagate(&mut rep);
     bench_full_link(&mut rep, short);
     bench_sweep_cache_replay(&mut rep, short);
     let path = rep.write();
