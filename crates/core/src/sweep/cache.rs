@@ -41,7 +41,9 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"BFCACHE1");
 /// Manually bumped whenever simulation *semantics* change in a way that
 /// invalidates previously cached results without changing any serialized
 /// struct (e.g. a reordered RNG draw or a retuned pipeline constant).
-pub const SIM_REV: u64 = 1;
+/// Rev 2: `noise::gauss` became a ziggurat, which redraws every channel
+/// and noise sample.
+pub const SIM_REV: u64 = 2;
 
 /// On-disk record size: magic + salt + key (hi, lo) + stats payload +
 /// checksum.

@@ -74,22 +74,26 @@ fn disabling_digital_stage_leaves_residue() {
 
 #[test]
 fn coding_rescues_marginal_links() {
-    // At a range where raw symbol errors occur, the convolutional code is
-    // the difference between a clean frame and a lost one.
-    let mut found = false;
+    // At ranges where raw symbol errors occur, the convolutional code is
+    // the difference between a clean frame and a lost one: count frames
+    // that pass CRC although more than 1e-3 of their symbols were wrong.
+    // With the Box–Muller generator 228 of 300 such trials (seeds 0..100)
+    // were rescued; 78 of 120 is that rate less three binomial standard
+    // deviations.
+    let mut rescued = 0;
     for d in [4.0, 4.5, 5.0] {
         let mut cfg = base(d);
         cfg.tag.symbol_rate_hz = 1e6;
         cfg.tag.modulation = TagModulation::Qpsk;
-        let rep = LinkSimulator::new(cfg).run(17);
-        if rep.success && rep.pre_fec_ber > 1e-3 {
-            found = true;
-            break;
-        }
+        let sim = LinkSimulator::new(cfg);
+        rescued += (0..40)
+            .map(|seed| sim.run(seed))
+            .filter(|rep| rep.success && rep.pre_fec_ber > 1e-3)
+            .count();
     }
     assert!(
-        found,
-        "expected a range where FEC visibly repairs symbol errors"
+        rescued >= 78,
+        "FEC visibly repaired symbol errors in only {rescued}/120 marginal links"
     );
 }
 

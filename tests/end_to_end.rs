@@ -35,9 +35,20 @@ fn both_code_rates_decode() {
 
 #[test]
 fn decoded_payload_is_bit_exact() {
-    let rep = LinkSimulator::new(quick(1.0)).run(17);
-    assert!(rep.success);
-    assert!(rep.ber < 1e-9, "ber {}", rep.ber);
+    // Every frame that passes CRC must carry the payload bit for bit, and
+    // at 1 m nearly every channel draw decodes: 97 of 100 seeds did with
+    // the Box–Muller generator. 36 of 40 is that rate less three binomial
+    // standard deviations.
+    let sim = LinkSimulator::new(quick(1.0));
+    let mut decoded = 0;
+    for seed in 0..40 {
+        let rep = sim.run(seed);
+        if rep.success {
+            decoded += 1;
+            assert!(rep.ber < 1e-9, "seed {seed}: ber {}", rep.ber);
+        }
+    }
+    assert!(decoded >= 36, "only {decoded}/40 seeds decoded at 1 m");
 }
 
 #[test]
