@@ -13,7 +13,6 @@
 
 pub mod cache;
 pub mod codec;
-pub mod service;
 
 use crate::link::{LinkConfig, LinkReport, LinkSimulator};
 use backfi_dsp::rng::SplitMix64;
@@ -348,38 +347,11 @@ pub fn run_grid_indexed(
 
 /// [`run_grid_indexed`] on a caller-supplied executor.
 ///
-/// This is the dispatch point for the sweep service: if a worker pool is
-/// installed ([`service::set_global`]) the grid is sharded over TCP, and if
-/// a result cache is installed ([`cache::set_global`]) cells it already
-/// holds are not recomputed. Both layers are opt-in, and both are
-/// bit-identical to the plain in-process path, so default runs are
+/// If a result cache is installed ([`cache::set_global`]), cells it already
+/// holds are not recomputed; otherwise every job runs here. The cache is
+/// opt-in and bit-identical to the plain path, so default runs are
 /// untouched.
 pub fn run_grid_indexed_on(
-    exec: &Executor,
-    cells: &[LinkConfig],
-    trials: usize,
-    seed0: u64,
-    bases: &[u64],
-) -> Vec<TrialStats> {
-    assert_eq!(cells.len(), bases.len(), "one job-index base per cell");
-    if let Some(pool) = service::global() {
-        match service::run_sharded(&pool, cells, trials, seed0, bases) {
-            Ok(stats) => return stats,
-            Err(e) => {
-                // Results are bit-identical either way, so a dead or stale
-                // worker degrades to local compute instead of failing the run.
-                backfi_obs::counter_add("sweep.service.fallback", 1);
-                eprintln!("[backfi sweep] worker pool unavailable ({e}); computing locally");
-            }
-        }
-    }
-    run_grid_indexed_local(exec, cells, trials, seed0, bases)
-}
-
-/// Cache-aware but service-free grid runner: what a sharded worker answers
-/// jobs with (a worker must never recursively re-shard), and what the
-/// coordinator falls back to.
-pub(crate) fn run_grid_indexed_local(
     exec: &Executor,
     cells: &[LinkConfig],
     trials: usize,

@@ -1,20 +1,16 @@
 //! Fixed-width binary codec for sweep configurations and results.
 //!
-//! One encoder serves two consumers that must agree byte-for-byte:
-//!
-//! * the **result cache** ([`super::cache`]) hashes the encoded
-//!   [`LinkConfig`] bytes into its content address, so two processes that
-//!   build the same cell always derive the same key;
-//! * the **worker protocol** ([`super::service`]) ships the same bytes over
-//!   TCP so a remote worker reconstructs the exact cell the coordinator
-//!   sharded out.
+//! The **result cache** ([`super::cache`]) is the consumer: it hashes the
+//! encoded [`LinkConfig`] bytes into its content address, so two processes
+//! that build the same cell always derive the same key, and it stores each
+//! cell's [`TrialStats`] in the same encoding. [`decode_link_config`] exists
+//! so the round-trip test can prove every `LinkConfig` field reaches the key.
 //!
 //! The format is deliberately dumb: little-endian fixed-width fields in
 //! declaration order, `f64` as IEEE-754 bit patterns (`to_bits`), enums as
 //! one tag byte. No varints, no compression, no external crates. Field
-//! additions bump [`FORMAT_VERSION`], which is folded into the cache salt
-//! and the wire handshake, so the two sides can never silently disagree on
-//! layout.
+//! additions bump [`FORMAT_VERSION`], which is folded into the cache salt,
+//! so entries written under an old layout are never read back.
 
 use crate::excitation::ExcitationConfig;
 use crate::link::LinkConfig;
@@ -29,8 +25,7 @@ use backfi_tag::config::{TagConfig, TagModulation};
 use backfi_wifi::Mcs;
 
 /// Version of the serialized layout. Bumped whenever a field is added,
-/// removed or reordered; folded into [`super::cache::code_salt`] and checked
-/// by the [`super::service`] handshake.
+/// removed or reordered; folded into [`super::cache::code_salt`].
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Serialized size of one [`TrialStats`] payload, bytes (2 tag bytes,
@@ -112,8 +107,7 @@ impl Writer {
         self.u8(v as u8);
     }
 
-    /// Append raw bytes verbatim (the wire protocol nests length-prefixed
-    /// blobs this way).
+    /// Append raw bytes verbatim.
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
@@ -378,8 +372,8 @@ fn decode_impairments(c: &mut Cursor) -> Result<Impairments, CodecError> {
 }
 
 /// Serialize a [`LinkConfig`] into `w`. Every field of every nested struct,
-/// in declaration order — the bytes are the cell's identity for both the
-/// cache key and the wire.
+/// in declaration order — the bytes are the cell's identity in the cache
+/// key.
 pub fn encode_link_config(w: &mut Writer, cfg: &LinkConfig) {
     encode_budget(w, &cfg.budget);
     w.f64(cfg.distance_m);

@@ -1,7 +1,7 @@
 //! Integration tests for the event tracer: disabled-path inertness, the
 //! span-guard/trace coupling, concurrent recording from scoped-thread
-//! workers (no lost or duplicated events, per-thread timestamp order), and
-//! byte-deterministic coordinator merge of worker event lists.
+//! workers (no lost or duplicated events, per-thread timestamp order), the
+//! single-lane export, and output into a directory that does not exist yet.
 //!
 //! The tracer (like the recorder) is process-global, and the cargo test
 //! harness runs tests on parallel threads — every test here serializes on
@@ -9,7 +9,6 @@
 
 use backfi_obs as obs;
 use backfi_obs::trace::{self, Event, Phase};
-use std::borrow::Cow;
 use std::sync::Mutex;
 
 static GLOBAL: Mutex<()> = Mutex::new(());
@@ -118,50 +117,41 @@ fn concurrent_workers_lose_and_duplicate_nothing() {
     trace::disable();
 }
 
-/// Synthetic worker shipment: what `sweep::service` decodes off the wire.
-fn worker_events(tag: u64) -> Vec<Event> {
-    (0..5u64)
-        .map(|i| Event {
-            name: Cow::Owned(format!("wk.job{tag}")),
-            phase: if i % 2 == 0 {
-                Phase::Complete
-            } else {
-                Phase::Instant
-            },
-            ts_ns: 1_000 * i + tag,
-            dur_ns: if i % 2 == 0 { 500 } else { 0 },
-            tid: (i % 2) as u32 + 1,
-            arg: (i == 0).then(|| (Cow::Owned("cell".to_string()), tag as f64)),
-        })
-        .collect()
-}
-
 #[test]
-fn coordinator_merge_is_byte_deterministic() {
+fn obs_and_trace_files_land_in_a_missing_nested_dir() {
     let _g = fresh();
-    // Same worker payloads, merged in opposite arrival orders (shard threads
-    // finish in any order) — the exported timeline must not care.
-    trace::add_remote_events(1, 10_000, worker_events(1));
-    trace::add_remote_events(2, 20_000, worker_events(2));
-    let doc_a = trace::trace_json("tr_merge");
+    obs::enable();
+    trace::enable();
+    obs::counter_add("tr.nested_counter", 3);
+    {
+        let _t = obs::span("tr.nested_span");
+    }
+    let root = std::env::temp_dir().join(format!("backfi-nested-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let dir = root.join("a").join("b");
+    assert!(!dir.exists());
+    let obs_path = obs::write_manifest_to(&dir, "nested").expect("manifest written");
+    let trace_path = trace::write_trace_to(&dir, "nested").expect("trace written");
+    assert_eq!(obs_path, dir.join("OBS_nested.json"));
+    assert_eq!(trace_path, dir.join("TRACE_nested.json"));
+    let manifest = obs::json::parse(&std::fs::read_to_string(&obs_path).unwrap())
+        .expect("manifest is valid JSON");
+    let counters = manifest.get("counters").unwrap().as_arr().unwrap();
+    assert!(counters.iter().any(|c| {
+        c.get("name").and_then(|n| n.as_str()) == Some("tr.nested_counter")
+            && c.get("value").and_then(|v| v.as_f64()) == Some(3.0)
+    }));
+    let timeline = obs::json::parse(&std::fs::read_to_string(&trace_path).unwrap())
+        .expect("trace is valid JSON");
+    let events = timeline.get("traceEvents").unwrap().as_arr().unwrap();
+    assert!(events
+        .iter()
+        .any(|e| e.get("name").and_then(|n| n.as_str()) == Some("tr.nested_span")));
+    let _ = std::fs::remove_dir_all(&root);
+    obs::disable();
+    obs::reset();
     trace::reset();
-    trace::add_remote_events(2, 20_000, worker_events(2));
-    trace::add_remote_events(1, 10_000, worker_events(1));
-    let doc_b = trace::trace_json("tr_merge");
-    trace::reset();
-    assert_eq!(doc_a, doc_b, "merge output must be byte-identical");
-    obs::json::validate(&doc_a).expect("merged timeline is valid JSON");
-    // Worker lanes are sorted and labelled.
-    let p1 = doc_a
-        .find("\"args\":{\"name\":\"worker 1\"}")
-        .expect("worker 1 lane");
-    let p2 = doc_a
-        .find("\"args\":{\"name\":\"worker 2\"}")
-        .expect("worker 2 lane");
-    assert!(p1 < p2, "lanes sorted by pid");
-    // Offsets re-based the worker epochs: 10_000 + 1 ns → ts 10.001 µs.
-    assert!(doc_a.contains("\"ts\":10.001"), "shard 1 offset applied");
-    assert!(doc_a.contains("\"ts\":20.002"), "shard 2 offset applied");
+    trace::disable();
 }
 
 #[test]
@@ -201,6 +191,22 @@ fn trace_file_round_trips_through_the_parser() {
         }),
         "complete slice present with dur"
     );
+    // One process lane, labelled once; every event sits on it.
+    let lanes: Vec<_> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M"))
+        .collect();
+    assert_eq!(lanes.len(), 1, "exactly one process_name event");
+    assert_eq!(
+        lanes[0]
+            .get("args")
+            .and_then(|a| a.get("name"))
+            .and_then(|n| n.as_str()),
+        Some("coordinator")
+    );
+    assert!(events
+        .iter()
+        .all(|e| e.get("pid").and_then(|p| p.as_f64()) == Some(0.0)));
     let _ = std::fs::remove_dir_all(&dir);
     trace::reset();
     trace::disable();
